@@ -692,7 +692,7 @@ func polish2D(obs []Observation, est Estimate, bounds Bounds) Estimate {
 // normalizeAlpha maps an in-plane polarization angle to [0, π): a
 // dipole is symmetric under 180° rotation.
 func normalizeAlpha(a float64) float64 {
-	a = math.Mod(a, math.Pi)
+	a = mathx.Mod(a, math.Pi)
 	if a < 0 {
 		a += math.Pi
 	}

@@ -21,13 +21,15 @@ import (
 // is skipped while still counting as accepted.
 //
 // The invariant that makes a plain high-water mark sufficient: per
-// (stream, daemon) the delivered subsequence always arrives in
-// global stream order (the router forwards per-EPC in request order,
-// chunk by chunk) and acceptance is prefix-based, so the accepted
-// set is exactly {pos ≤ mark}. State is in-memory and TTL-bounded: a
-// daemon restart forgets marks, trading a rare post-crash duplicate
-// window for zero journal coupling (the crash path already has
-// exactly-once identity via the emission ledger).
+// (stream, daemon) every delivery carries its lines in global stream
+// order (the router forwards per-EPC in request order, chunk by chunk)
+// and acceptance is prefix-based, so the accepted set is exactly
+// {pos ≤ mark}. Deliveries may overlap in time, so the mark is checked
+// and raised per line, atomically with the offer (offerOnce). State is
+// in-memory and TTL-bounded: a daemon restart forgets marks, trading a
+// rare post-crash duplicate window for zero journal coupling (the
+// crash path already has exactly-once identity via the emission
+// ledger).
 
 // Stream header names, shared with the router tier.
 const (
@@ -120,38 +122,37 @@ func newStreamDedup(now func() time.Time) *streamDedup {
 	return &streamDedup{entries: make(map[string]*dedupEntry), now: now}
 }
 
-// highWater returns the stream's mark (0 for an unknown stream) and
-// refreshes its TTL.
-func (d *streamDedup) highWater(id string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.entries[id]
-	if e == nil {
-		return 0
-	}
-	e.last = d.now()
-	return e.high
-}
-
-// advance raises the stream's mark to pos (never lowers it),
-// creating the stream entry on first use and evicting stale or
-// excess streams.
-func (d *streamDedup) advance(id string, pos uint64) {
+// offerOnce offers the line at stream position pos through offer,
+// unless the stream's mark already covers it (dup). The mark rises to
+// pos only when offer succeeds. Check, offer and advance hold one
+// lock: two deliveries of the same lines can overlap in time — a
+// request parked by a partition and released when it heals, and the
+// retry sent in its place — and a mark read once per request would let
+// both offer the same lines. offer runs under the dedup lock, so it
+// must not call back into d (Daemon.Offer does not).
+func (d *streamDedup) offerOnce(id string, pos uint64, offer func() error) (dup bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.now()
 	e := d.entries[id]
+	if e != nil {
+		e.last = now
+		if pos <= e.high {
+			return true, nil
+		}
+	}
+	if err := offer(); err != nil {
+		return false, err
+	}
 	if e == nil {
 		if len(d.entries) >= dedupMaxStreams {
 			d.evictLocked(now)
 		}
-		e = &dedupEntry{}
+		e = &dedupEntry{last: now}
 		d.entries[id] = e
 	}
-	e.last = now
-	if pos > e.high {
-		e.high = pos
-	}
+	e.high = pos
+	return false, nil
 }
 
 // evictLocked drops expired streams; if none expired, the oldest one

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,6 +126,81 @@ func TestIngestStreamDedup(t *testing.T) {
 	}
 }
 
+// TestIngestStreamDedupOverlappingDeliveries: two deliveries of the
+// same lines can overlap in time — a request parked by a network
+// partition and released when it heals, next to the retry sent in its
+// place. Each line must still be offered exactly once: the late half
+// of the slow delivery is deduplicated against what the retry offered
+// in the meantime.
+func TestIngestStreamDedupOverlappingDeliveries(t *testing.T) {
+	proc := newGatedProc()
+	close(proc.gate)
+	ring := NewRingSink(4)
+	d := NewDaemon(proc, Config{}, ring)
+	defer d.Shutdown(context.Background())
+	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	defer srv.Close()
+
+	var lines []string
+	for ch := 0; ch < 4; ch++ {
+		lines = append(lines, readLine("A", 0, ch)+"\n")
+	}
+	post := func(body io.Reader) wireReply {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/ingest", body)
+		if err != nil {
+			t.Error(err)
+			return wireReply{}
+		}
+		req.Header.Set(HeaderStream, "s1")
+		req.Header.Set(HeaderStreamPos, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return wireReply{}
+		}
+		defer resp.Body.Close()
+		var reply wireReply
+		if err := decodeReply(resp, &reply); err != nil {
+			t.Error(err)
+		}
+		return reply
+	}
+	offered := func() int64 { return d.Metrics().ReportsAccepted.Load() }
+
+	// The slow delivery gets its first two lines through, then stalls.
+	pr, pw := io.Pipe()
+	slow := make(chan wireReply, 1)
+	go func() { slow <- post(pr) }()
+	if _, err := io.WriteString(pw, lines[0]+lines[1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "the slow delivery's first lines", func() bool { return offered() == 2 })
+
+	// The retry re-sends all four lines while the slow one is mid-body.
+	if reply := post(strings.NewReader(strings.Join(lines, ""))); reply.Accepted != 4 {
+		t.Fatalf("retry reply %+v, want 4 accepted", reply)
+	}
+	if got := offered(); got != 4 {
+		t.Fatalf("offered after the retry = %d, want 4", got)
+	}
+
+	// The slow delivery resumes: its last two lines are duplicates now.
+	if _, err := io.WriteString(pw, lines[2]+lines[3]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if reply := <-slow; reply.Accepted != 4 {
+		t.Fatalf("slow delivery reply %+v, want 4 accepted", reply)
+	}
+	if got := offered(); got != 4 {
+		t.Fatalf("offered = %d, want 4 (each line once)", got)
+	}
+	if got := d.Metrics().ReportsDeduped.Load(); got != 4 {
+		t.Fatalf("deduplicated = %d, want 4", got)
+	}
+}
+
 // TestIngestStreamBadHeaders pins the 400 envelope for malformed
 // stream metadata.
 func TestIngestStreamBadHeaders(t *testing.T) {
@@ -198,28 +274,33 @@ func TestIngestLineTooLarge(t *testing.T) {
 func TestStreamDedupEviction(t *testing.T) {
 	now := time.Unix(0, 0)
 	d := newStreamDedup(func() time.Time { return now })
+	advance := func(id string, pos uint64) bool {
+		dup, err := d.offerOnce(id, pos, func() error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dup
+	}
 	for i := 0; i < dedupMaxStreams; i++ {
-		d.advance(fmt.Sprintf("s%d", i), 1)
+		advance(fmt.Sprintf("s%d", i), 1)
 	}
 	if got := d.streams(); got != dedupMaxStreams {
 		t.Fatalf("streams = %d, want %d", got, dedupMaxStreams)
 	}
 	// At the cap with nothing expired: the oldest single stream goes.
 	now = now.Add(time.Minute)
-	d.advance("fresh", 1)
+	advance("fresh", 1)
 	if got := d.streams(); got != dedupMaxStreams {
 		t.Fatalf("after cap eviction: streams = %d, want %d", got, dedupMaxStreams)
 	}
 	// Everything older than the TTL goes in one sweep.
 	now = now.Add(dedupTTL + time.Minute)
-	d.advance("newest", 1)
+	advance("newest", 1)
 	if got := d.streams(); got > 2 {
 		t.Fatalf("after TTL sweep: streams = %d, want <= 2", got)
 	}
-	// Marks never regress.
-	d.advance("newest", 9)
-	d.advance("newest", 4)
-	if got := d.highWater("newest"); got != 9 {
-		t.Fatalf("highWater = %d, want 9", got)
+	// Marks never regress: after 9, position 4 is a duplicate.
+	if advance("newest", 9) || !advance("newest", 4) {
+		t.Fatal("mark regressed below 9")
 	}
 }

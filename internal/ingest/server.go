@@ -187,10 +187,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	highWater := uint64(0)
-	if streamID != "" {
-		highWater = s.dedup.highWater(streamID)
-	}
 	idx := 0 // non-blank line index, drives position lookup
 	for sc.Scan() {
 		line++
@@ -208,24 +204,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			linePos = p
 		}
 		idx++
-		if linePos != 0 && linePos <= highWater {
-			// Already offered by an earlier delivery of this stream: a
-			// retried sub-batch, a resume overshoot. Skip, still accept.
-			accepted++
-			s.d.Metrics().ReportsDeduped.Inc()
-			continue
-		}
 		rd, err := decodeReading(raw)
 		if err != nil {
 			fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
 			return
 		}
-		switch err := s.d.Offer(rd); {
+		dup := false
+		if linePos != 0 {
+			dup, err = s.dedup.offerOnce(streamID, linePos, func() error { return s.d.Offer(rd) })
+		} else {
+			err = s.d.Offer(rd)
+		}
+		switch {
+		case dup:
+			// Already offered by an earlier delivery of this stream: a
+			// retried sub-batch, a resume overshoot. Skip, still accept.
+			accepted++
+			s.d.Metrics().ReportsDeduped.Inc()
 		case err == nil:
 			accepted++
-			if linePos != 0 {
-				s.dedup.advance(streamID, linePos)
-			}
 		case errors.Is(err, ErrBusy):
 			secs := retryAfterSeconds(s.d.RetryAfter(), s.jitter())
 			w.Header().Set("Retry-After", strconv.Itoa(secs))

@@ -15,9 +15,35 @@ import (
 // TwoPi is the full circle in radians.
 const TwoPi = 2 * math.Pi
 
+// Mod returns math.Mod(x, p) bit for bit, several times faster. For a
+// finite x and p > 0 whose quotient |x/p| is below 2^40 it takes the
+// integer quotient q = trunc(x/p) and the remainder x − q·p in one
+// fused multiply-add. The fmod result is always representable, so the
+// FMA's single rounding returns it exactly once q is right. The
+// rounded division can overshoot the true quotient by at most one and
+// never undershoots; an overshoot leaves a nonzero remainder whose
+// sign differs from x's, and one correction step repairs it. An exact
+// zero takes the sign of x, as in fmod. math.FMA is exactly rounded
+// on every platform, so the result is host-independent. Anything else
+// (NaN, ±Inf, p ≤ 0, larger quotients) falls back to math.Mod.
+func Mod(x, p float64) float64 {
+	q := math.Trunc(x / p)
+	if !(math.Abs(q) < 1<<40) || !(p > 0 && p <= math.MaxFloat64) {
+		return math.Mod(x, p)
+	}
+	r := math.FMA(-q, p, x)
+	if math.Signbit(r) != math.Signbit(x) {
+		if r == 0 {
+			return math.Copysign(0, x)
+		}
+		r = math.FMA(-(q - math.Copysign(1, x)), p, x)
+	}
+	return r
+}
+
 // Wrap2Pi wraps x into [0, 2π).
 func Wrap2Pi(x float64) float64 {
-	x = math.Mod(x, TwoPi)
+	x = Mod(x, TwoPi)
 	if x < 0 {
 		x += TwoPi
 	}
@@ -26,7 +52,7 @@ func Wrap2Pi(x float64) float64 {
 
 // WrapPi wraps x into (-π, π].
 func WrapPi(x float64) float64 {
-	x = math.Mod(x+math.Pi, TwoPi)
+	x = Mod(x+math.Pi, TwoPi)
 	if x <= 0 {
 		x += TwoPi
 	}
@@ -42,7 +68,7 @@ func AngDiff(a, b float64) float64 {
 // with the given period (e.g. π for dipole orientations that alias
 // every 180°). The result lies in (-period/2, period/2].
 func AngDiffPeriod(a, b, period float64) float64 {
-	d := math.Mod(a-b, period)
+	d := Mod(a-b, period)
 	half := period / 2
 	if d > half {
 		d -= period

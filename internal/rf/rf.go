@@ -11,6 +11,8 @@ package rf
 import (
 	"fmt"
 	"math"
+
+	"rfprism/internal/mathx"
 )
 
 const (
@@ -99,12 +101,7 @@ func DistanceFromSlope(k float64) float64 {
 // QuantizePhase rounds a phase to the reader's reporting resolution
 // and wraps it into [0, 2π).
 func QuantizePhase(theta float64) float64 {
-	q := math.Round(theta/PhaseQuantum) * PhaseQuantum
-	q = math.Mod(q, 2*math.Pi)
-	if q < 0 {
-		q += 2 * math.Pi
-	}
-	return q
+	return mathx.Wrap2Pi(math.Round(theta/PhaseQuantum) * PhaseQuantum)
 }
 
 // QuantizeRSSI rounds an RSSI value (dBm) to the reader's resolution.

@@ -146,13 +146,25 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 			sw.result(epoch, res)
 		}
 	}
-	last := snap.Epoch()
+	// Everything at or below the snapshot's epoch was served by the
+	// catch-up above (or predates a fresh subscriber); everything newer
+	// goes out live. The filter is against this fixed epoch, never the
+	// last one sent: every result of a multi-result swap shares one
+	// epoch, so a running cursor would drop all but the first.
+	from := snap.Epoch()
+	last := from // id of the final "dropped" frame
+	deliver := func(ev Event) {
+		if ev.Epoch > from && f.matches(ev.Result.EPC) {
+			sw.result(ev.Epoch, ev.Result)
+			last = max(last, ev.Epoch)
+		}
+	}
 	flusher.Flush()
 	if sw.err != nil {
 		return
 	}
 	s.log.Debug("stream open", "path", r.URL.Path, "epc", f.EPC, "prefix", f.Prefix,
-		"since", since, "epoch", last)
+		"since", since, "epoch", from)
 
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
@@ -167,12 +179,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 				s.log.Debug("stream dropped", "path", r.URL.Path, "reason", reason.String())
 				return
 			}
-			if ev.Epoch > last && f.matches(ev.Result.EPC) {
-				sw.result(ev.Epoch, ev.Result)
-				if ev.Epoch > last {
-					last = ev.Epoch
-				}
-			}
+			deliver(ev)
 			// Drain whatever else is queued before flushing once —
 			// under a burst this coalesces dozens of events per write.
 			for drained := false; !drained; {
@@ -184,10 +191,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 						flusher.Flush()
 						return
 					}
-					if ev.Epoch > last && f.matches(ev.Result.EPC) {
-						sw.result(ev.Epoch, ev.Result)
-						last = ev.Epoch
-					}
+					deliver(ev)
 				default:
 					drained = true
 				}

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rfprism/internal/ingest"
 )
 
 // sseEvent is one parsed SSE frame.
@@ -213,6 +215,41 @@ func TestSSEFirehoseAndPrefix(t *testing.T) {
 	if epc := epcOf(t, nextEvent(t, onlyB, "prefix-filtered event")); epc != "B-1" {
 		t.Fatalf("prefix stream saw %q, want B-1 only", epc)
 	}
+}
+
+// TestSSEFirehoseDeliversWholeSwap: every result of a multi-result swap
+// shares one epoch, and the firehose and a ?prefix= stream must deliver
+// all of them, not only the first.
+func TestSSEFirehoseDeliversWholeSwap(t *testing.T) {
+	// Only the BatchSize trigger swaps, so the three results below are
+	// published together.
+	st := newTestStore(t, StoreConfig{SwapInterval: time.Hour, BatchSize: 3})
+	ts := sseTestServer(t, st, nil)
+	_, all := openSSE(t, ts.URL+"/v1/stream", nil)
+	_, onlyB := openSSE(t, ts.URL+"/v1/stream?prefix=B-", nil)
+	waitFor(t, 2*time.Second, "both firehose subscribers", func() bool {
+		return st.Hub().Subscribers() == 2
+	})
+
+	for _, r := range []ingest.TagResult{tr("B-1", 1), tr("A-1", 1), tr("B-2", 1)} {
+		if err := st.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 2*time.Second, "the batch swap", func() bool { return st.Swaps() == 1 })
+	epoch := strconv.FormatUint(st.Epoch(), 10)
+
+	read := func(events <-chan sseEvent, want ...string) {
+		t.Helper()
+		for _, epc := range want {
+			ev := nextEvent(t, events, epc)
+			if ev.Event != "result" || ev.ID != epoch || epcOf(t, ev) != epc {
+				t.Fatalf("event = %+v, want %s's result at epoch %s", ev, epc, epoch)
+			}
+		}
+	}
+	read(all, "B-1", "A-1", "B-2")
+	read(onlyB, "B-1", "B-2")
 }
 
 func TestSSEShutdownSendsDropped(t *testing.T) {
