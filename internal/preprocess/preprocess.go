@@ -97,37 +97,68 @@ func (o *Options) defaults() {
 	}
 }
 
+// numDwellChannels is the channel index range BuildSpectra visits per
+// antenna; readings outside [0, numDwellChannels) are ignored.
+const numDwellChannels = 64
+
 // BuildSpectra groups raw readings by antenna, aggregates each channel
 // dwell and unwraps across channels. Antennas with fewer than 10
 // usable channels are dropped. The result is sorted by antenna ID.
+//
+// The grouping is a counting sort of reading indices by (antenna,
+// channel) that keeps arrival order inside each dwell, and every dwell
+// is aggregated in one per-call scratch, so a window costs a handful
+// of allocations however many reads it carries.
 func BuildSpectra(readings []sim.Reading, opts Options) ([]Spectrum, error) {
 	opts.defaults()
 	if len(readings) == 0 {
 		return nil, fmt.Errorf("preprocess: no readings")
 	}
-	type key struct{ ant, ch int }
-	byDwell := make(map[key][]sim.Reading)
-	antennas := make(map[int]bool)
-	for _, r := range readings {
-		byDwell[key{r.Antenna, r.Channel}] = append(byDwell[key{r.Antenna, r.Channel}], r)
-		antennas[r.Antenna] = true
+	antIDs := antennaIDs(readings)
+	nd := len(antIDs) * numDwellChannels
+	// start[d]..start[d+1] delimits dwell d = antIdx·64 + ch in order.
+	start := make([]int, nd+1)
+	idx := make([]int, len(readings)+nd)
+	dwell, next := idx[:len(readings)], idx[len(readings):]
+	for i := range readings {
+		r := &readings[i]
+		dwell[i] = -1
+		if r.Channel < 0 || r.Channel >= numDwellChannels {
+			continue
+		}
+		d := sort.SearchInts(antIDs, r.Antenna)*numDwellChannels + r.Channel
+		dwell[i] = d
+		start[d+1]++
 	}
-	antIDs := make([]int, 0, len(antennas))
-	for id := range antennas {
-		antIDs = append(antIDs, id)
+	maxDwell := 0
+	for d := 0; d < nd; d++ {
+		if n := start[d+1]; n > maxDwell {
+			maxDwell = n
+		}
+		start[d+1] += start[d]
 	}
-	sort.Ints(antIDs)
+	order := make([]int, start[nd])
+	copy(next, start[:nd])
+	for i, d := range dwell {
+		if d >= 0 {
+			order[next[d]] = i
+			next[d]++
+		}
+	}
 
+	sc := newDwellScratch(maxDwell)
 	out := make([]Spectrum, 0, len(antIDs))
-	for _, ant := range antIDs {
+	for a, ant := range antIDs {
 		var samples []ChannelSample
-		for ch := 0; ch < 64; ch++ {
-			reads := byDwell[key{ant, ch}]
-			if len(reads) == 0 {
+		for ch := 0; ch < numDwellChannels; ch++ {
+			d := a*numDwellChannels + ch
+			if start[d] == start[d+1] {
 				continue
 			}
-			s, ok := aggregateDwell(reads, opts)
-			if ok {
+			if s, ok := sc.aggregate(readings, order[start[d]:start[d+1]], opts); ok {
+				if samples == nil {
+					samples = make([]ChannelSample, 0, numDwellChannels-ch)
+				}
 				samples = append(samples, s)
 			}
 		}
@@ -143,6 +174,33 @@ func BuildSpectra(readings []sim.Reading, opts Options) ([]Spectrum, error) {
 	return out, nil
 }
 
+// antennaIDs returns the distinct antenna IDs of readings, ascending.
+// A window carries a few antennas, so a linear membership scan with a
+// repeat-of-last shortcut beats a map.
+func antennaIDs(readings []sim.Reading) []int {
+	ids := make([]int, 0, 8)
+	last := 0
+	for i := range readings {
+		a := readings[i].Antenna
+		if len(ids) > 0 && a == last {
+			continue
+		}
+		last = a
+		seen := false
+		for _, id := range ids {
+			if id == a {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			ids = append(ids, a)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // finite reports whether x is a usable measurement value. A faulted
 // reader can surface NaN/±Inf phases or frequencies; such reads are
 // dropped before any arithmetic touches them.
@@ -150,42 +208,59 @@ func finite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
-// aggregateDwell resolves π flips, trims interference outliers and
-// circularly averages the reads of one dwell. Reads carrying
-// non-finite phase, frequency or RSSI are discarded up front.
-func aggregateDwell(reads []sim.Reading, opts Options) (ChannelSample, bool) {
-	fin := make([]sim.Reading, 0, len(reads))
-	for _, r := range reads {
+// dwellScratch holds the per-dwell working buffers of one BuildSpectra
+// call, sized to its largest dwell and reused for every dwell.
+type dwellScratch struct {
+	fin     []int // reading indices with finite fields, arrival order
+	aligned []float64
+	med     []float64 // median copy, sorted in place
+	keptIdx []int     // positions in fin surviving the outlier trim
+}
+
+func newDwellScratch(n int) *dwellScratch {
+	buf := make([]float64, 2*n)
+	idx := make([]int, 2*n)
+	return &dwellScratch{
+		fin:     idx[0:0:n],
+		keptIdx: idx[n : n : 2*n],
+		aligned: buf[0:0:n],
+		med:     buf[n : n : 2*n],
+	}
+}
+
+// aggregate resolves π flips, trims interference outliers and
+// circularly averages the reads readings[idx[...]] of one dwell. Reads
+// carrying non-finite phase, frequency or RSSI are discarded up front.
+func (sc *dwellScratch) aggregate(readings []sim.Reading, idx []int, opts Options) (ChannelSample, bool) {
+	fin := sc.fin[:0]
+	for _, i := range idx {
+		r := &readings[i]
 		if finite(r.Phase) && finite(r.FreqHz) && finite(r.RSSI) {
-			fin = append(fin, r)
+			fin = append(fin, i)
 		}
 	}
 	if len(fin) < opts.MinReads {
 		return ChannelSample{}, false
 	}
-	reads = fin
-	phases := make([]float64, len(reads))
-	for i, r := range reads {
-		phases[i] = r.Phase
-	}
 	// Align every read to the first one modulo π: each raw phase is
 	// shifted by the multiple of π that brings it within ±π/2 of the
 	// reference, collapsing the reader's sign ambiguity.
-	ref := phases[0]
-	aligned := make([]float64, len(phases))
-	for i, p := range phases {
+	ref := readings[fin[0]].Phase
+	aligned := sc.aligned[:len(fin)]
+	for j, i := range fin {
+		p := readings[i].Phase
 		k := math.Round((ref - p) / math.Pi)
-		aligned[i] = p + k*math.Pi
+		aligned[j] = p + k*math.Pi
 	}
 	// Robust pass: discard reads far from the median (transient
 	// interference), then average.
-	med := mathx.Median(aligned)
+	med := mathx.MedianInPlace(append(sc.med[:0], aligned...))
 	kept := aligned[:0]
-	keptIdx := make([]int, 0, len(aligned))
-	for i, p := range aligned {
+	keptIdx := sc.keptIdx[:0]
+	for j, p := range aligned {
 		if math.Abs(mathx.WrapPi(p-med)) <= opts.OutlierThreshold {
 			kept = append(kept, p)
-			keptIdx = append(keptIdx, i)
+			keptIdx = append(keptIdx, j)
 		}
 	}
 	if len(kept) < opts.MinReads {
@@ -198,8 +273,8 @@ func aggregateDwell(reads []sim.Reading, opts Options) (ChannelSample, bool) {
 	// either the true phase or true+π. Count raw reads supporting
 	// each candidate; flips are a minority, so majority wins.
 	support := 0
-	for _, i := range keptIdx {
-		if math.Abs(mathx.WrapPi(reads[i].Phase-mean)) < math.Pi/2 {
+	for _, j := range keptIdx {
+		if math.Abs(mathx.WrapPi(readings[fin[j]].Phase-mean)) < math.Pi/2 {
 			support++
 		}
 	}
@@ -208,14 +283,15 @@ func aggregateDwell(reads []sim.Reading, opts Options) (ChannelSample, bool) {
 	}
 
 	var rssi float64
-	for _, i := range keptIdx {
-		rssi += reads[i].RSSI
+	for _, j := range keptIdx {
+		rssi += readings[fin[j]].RSSI
 	}
 	rssi /= float64(len(keptIdx))
 
+	first := &readings[fin[0]]
 	return ChannelSample{
-		Channel: reads[0].Channel,
-		FreqHz:  reads[0].FreqHz,
+		Channel: first.Channel,
+		FreqHz:  first.FreqHz,
 		Phase:   mathx.Wrap2Pi(mean),
 		RSSI:    rssi,
 		Spread:  spread,
