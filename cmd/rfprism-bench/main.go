@@ -232,7 +232,6 @@ func main() {
 			opts = append(opts,
 				rfprism.WithWarmStart(),
 				rfprism.WithSolveCache(64),
-				rfprism.WithSolverOptions(core.Options{PruneStarts: true}),
 			)
 		}
 		sys, err := rfprism.NewSystem(rfprism.DeploymentFromSim(streamScene.Antennas),

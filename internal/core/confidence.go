@@ -295,16 +295,16 @@ var ambiguityOffsets = []float64{-0.16, -0.08, 0.08, 0.16}
 // to count as a distinct basin rather than the same minimum re-found.
 const ambiguityEscape = 0.04
 
-// ambiguityProbeIters budgets each short probe refinement.
+// ambiguityProbeIters budgets each short 3D probe refinement.
 const ambiguityProbeIters = 80
 
-// ambiguityMargin scores the 2π ambiguity explicitly: short
-// Nelder–Mead probes started one and two wrap basins away on each
-// position axis either fall back into the solution's basin (strong
-// margin) or settle in an alternative basin whose cost gap — in NLL
-// units, (altCost − baseCost)/2 — is the margin. Probes that all
-// collapse home fall back to the unoptimized offset-point costs, which
-// upper-bound how good any alternative basin could look.
+// ambiguityMargin scores the 2π ambiguity explicitly: probes started
+// one and two wrap basins away on each position axis (joint LM in 2D,
+// short Nelder–Mead runs in 3D) either fall back into the solution's
+// basin (strong margin) or settle in an alternative basin whose cost
+// gap — in NLL units, (altCost − baseCost)/2 — is the margin. Probes
+// that all collapse home fall back to the unoptimized offset-point
+// costs, which upper-bound how good any alternative basin could look.
 func ambiguityMargin(sc *solveScratch, est Estimate, mode3D bool, bounds Bounds, baseCost float64) (margin float64, altBasins int) {
 	bestAlt := math.Inf(1)
 	bestRaw := math.Inf(1)
@@ -338,7 +338,7 @@ func ambiguityMargin(sc *solveScratch, est Estimate, mode3D bool, bounds Bounds,
 				if raw := sc.jointCost2D(p0); raw < bestRaw {
 					bestRaw = raw
 				}
-				cand = runJoint2D(sc, p0, bounds, ambiguityProbeIters, 0)
+				cand = lmJoint2D(sc, [4]float64{pos.X, pos.Y, est.Alpha, est.Bt0}, bounds)
 			}
 			if cand.Pos.Dist(est.Pos) >= ambiguityEscape {
 				altBasins++

@@ -10,9 +10,13 @@
 //
 //  1. a slope-only grid search localizes the tag coarsely (the slopes
 //     are wrap-free, so this stage has no ambiguity), and
-//  2. a joint Levenberg–Marquardt multistart refines all unknowns
-//     (x, y, α, k_t, b_t) against both the slope equations and the
-//     *wrapped* intercept equations.
+//  2. a joint multistart refines all unknowns (x, y, α, k_t, b_t)
+//     against both the slope equations and the *wrapped* intercept
+//     equations. In 2D each start is a Levenberg–Marquardt run on the
+//     four unknowns (x, y, α, b_t) with an analytic Jacobian; k_t,
+//     linear in the slope equations and absent from the intercepts, is
+//     profiled out in closed form at every point (lm.go). Solve3D still
+//     refines with Nelder–Mead.
 //
 // The intercepts carry sub-wavelength information (ψ changes by 2π
 // per λ/2 of distance), which is why the joint stage both sharpens the
@@ -156,21 +160,8 @@ type Options struct {
 	// wander from the warm position before the slope-cost consistency
 	// check must also pass. Default 0.12 m (within one wrap basin).
 	WarmRadius float64
-	// PruneStarts enables adaptive multistart pruning: seeds are
-	// ranked by their start-point joint cost and the bottom tranche
-	// runs with a short iteration cap. Changes which candidate wins
-	// in rare cases, so it is opt-in; serial/parallel determinism is
-	// preserved (budgets are fixed before the fan-out).
-	PruneStarts bool
-	// PruneKeep is the fraction of starts keeping the full iteration
-	// budget under PruneStarts. Default 0.25.
-	PruneKeep float64
-	// PruneIters is the short iteration cap for pruned starts.
-	// Default 60.
-	PruneIters int
 	// Stats, when non-nil, receives the fast-path counters (warm
-	// attempts/fallbacks, pruned starts). Safe to share across
-	// concurrent solves.
+	// attempts/fallbacks). Safe to share across concurrent solves.
 	Stats *SolveStats
 }
 
@@ -194,21 +185,11 @@ func (o *Options) defaults() {
 	if o.WarmRadius <= 0 {
 		o.WarmRadius = 0.12
 	}
-	if o.PruneKeep <= 0 || o.PruneKeep > 1 {
-		o.PruneKeep = 0.25
-	}
-	if o.PruneIters <= 0 {
-		o.PruneIters = 60
-	}
 }
 
-// Iteration budgets of the joint multistart stages (per start) and the
-// final fine pass.
-const (
-	jointIters2D = 200
-	jointIters3D = 600
-	fineIters2D  = 500
-)
+// jointIters3D is the per-start Nelder–Mead iteration budget of the 3D
+// joint multistart.
+const jointIters3D = 600
 
 // AntennaCal holds the per-antenna hardware corrections of §IV-C,
 // relative to the first antenna: after subtraction every antenna has
@@ -409,71 +390,50 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 
 	// Stage 2: joint multistart over position offsets (to cover the
 	// λ/2 wrap basins around the coarse fix) and orientation starts.
-	// Every start is an independent optimizer run, so the 294 starts
-	// fan out across the worker pool; the reduction keeps the
-	// lowest-cost candidate with ties broken toward the lowest start
-	// index, which is exactly what the serial scan produced.
-	starts := make([][]float64, 0, len(jointOffsets)*len(jointOffsets)*6)
+	// Every start is an independent LM run, so the 294 starts fan out
+	// across the worker pool; the reduction keeps the lowest-cost
+	// candidate with ties broken toward the lowest start index, which
+	// is exactly what the serial scan produced.
+	starts := make([][4]float64, 0, len(jointOffsets)*len(jointOffsets)*6)
 	for _, dx := range jointOffsets {
 		for _, dy := range jointOffsets {
 			x0 := clamp(posA.X+dx, bounds.XMin, bounds.XMax)
 			y0 := clamp(posA.Y+dy, bounds.YMin, bounds.YMax)
-			_, kt0 := sc.slopeCost(geom.Vec3{X: x0, Y: y0})
 			// Profile bt0 at each start for a good basin entry; psi
 			// depends only on the position, so compute it once per
-			// offset rather than per orientation start.
+			// offset rather than per orientation start. k_t needs no
+			// start: the joint kernel profiles it at every point.
 			sc.setPsi(geom.Vec3{X: x0, Y: y0})
 			for a := 0; a < 6; a++ {
 				alpha0 := float64(a) * math.Pi / 6
 				_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(alpha0))
-				starts = append(starts, []float64{x0, y0, alpha0, kt0, bt0})
+				starts = append(starts, [4]float64{x0, y0, alpha0, bt0})
 			}
 		}
 	}
-	budgets := pruneBudgets(starts, sc.jointCost2D, opts)
 	cands := make([]Estimate, len(starts))
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
-		cands[i] = runJoint2D(sc, starts[i], bounds, budgetFor(budgets, i, jointIters2D), 0)
+		cands[i] = lmJoint2D(sc, starts[i], bounds)
 	})
 	return finish2D(sc, reduceMinCost(cands), bounds, opts), nil
 }
 
 // finish2D is the shared tail of the cold and warm 2D paths: dense
-// orientation refinement, the final fine simplex (the coarse
-// multistart runs are iteration-capped and can stall a few
-// millimeters short of the minimum), and the optional ML polish.
-func finish2D(sc *solveScratch, best Estimate, bounds Bounds, opts Options) Estimate {
+// orientation refinement (the angle-doubled orientation response has
+// local minima a start can settle in), a final joint LM pass from the
+// refined candidate, and the optional ML polish. box confines the
+// final pass exactly like the multistart it follows.
+func finish2D(sc *solveScratch, best Estimate, box Bounds, opts Options) Estimate {
 	best = refineAlpha2D(sc, best)
-	if fine := runJoint2DFine(sc, best, bounds); fine.Cost < best.Cost {
+	if fine := lmJoint2D(sc, [4]float64{best.Pos.X, best.Pos.Y, best.Alpha, best.Bt0}, box); fine.Cost < best.Cost {
 		best = fine
 	}
 	best = refineAlpha2D(sc, best)
 	if opts.MLPolish {
-		best = polish2D(sc.obs, best, bounds)
+		best = polish2D(sc.obs, best, box)
 		best = refineAlpha2D(sc, best)
 	}
 	return best
-}
-
-// runJoint2DFine is a tighter, longer simplex pass around an
-// already-good candidate.
-func runJoint2DFine(sc *solveScratch, est Estimate, bounds Bounds) Estimate {
-	p0 := []float64{est.Pos.X, est.Pos.Y, est.Alpha, est.Kt, est.Bt0}
-	q := make([]float64, 5)
-	obj := func(p []float64) float64 {
-		q[0] = clamp(p[0], bounds.XMin, bounds.XMax)
-		q[1] = clamp(p[1], bounds.YMin, bounds.YMax)
-		q[2], q[3], q[4] = p[2], p[3], p[4]
-		return sc.jointCost2D(q)
-	}
-	p, cost := mathx.NelderMead(obj, p0, 0.004, fineIters2D)
-	return Estimate{
-		Pos:   geom.Vec3{X: clamp(p[0], bounds.XMin, bounds.XMax), Y: clamp(p[1], bounds.YMin, bounds.YMax)},
-		Alpha: normalizeAlpha(p[2]),
-		Kt:    p[3],
-		Bt0:   mathx.Wrap2Pi(p[4]),
-		Cost:  cost,
-	}
 }
 
 // refineAlpha2D re-estimates the orientation with a dense grid at the
@@ -535,31 +495,6 @@ func makePsi(obs []Observation, pos geom.Vec3) []float64 {
 		psi[i] = mathx.Wrap2Pi(o.Line.B0 - prop)
 	}
 	return psi
-}
-
-// runJoint2D runs a budgeted Nelder–Mead refinement of the joint
-// objective from p0 and packages the result. target > 0 additionally
-// stops a start once it matches that cost (the warm path passes the
-// previous window's cost — no point iterating past it when the fine
-// pass will polish anyway). The clamp buffer q is reused across the
-// hundreds of objective evaluations of one start; each start owns its
-// buffer, so concurrent starts never share state.
-func runJoint2D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int, target float64) Estimate {
-	q := make([]float64, 5)
-	obj := func(p []float64) float64 {
-		q[0] = clamp(p[0], bounds.XMin, bounds.XMax)
-		q[1] = clamp(p[1], bounds.YMin, bounds.YMax)
-		q[2], q[3], q[4] = p[2], p[3], p[4]
-		return sc.jointCost2D(q)
-	}
-	p, cost := mathx.NelderMeadOpt(obj, p0, 0.02, mathx.NMOptions{MaxIter: maxIter, Target: target})
-	return Estimate{
-		Pos:   geom.Vec3{X: clamp(p[0], bounds.XMin, bounds.XMax), Y: clamp(p[1], bounds.YMin, bounds.YMax)},
-		Alpha: normalizeAlpha(p[2]),
-		Kt:    p[3],
-		Bt0:   mathx.Wrap2Pi(p[4]),
-		Cost:  cost,
-	}
 }
 
 // solveDetached2D is the fine-phase-off ablation: slope-only position

@@ -96,9 +96,10 @@ func TestAdaptiveSigmaBScratchMatchesMedianRule(t *testing.T) {
 	}
 }
 
-// TestKernelsZeroAlloc: the scratch kernels run inside the NelderMead
-// inner loops and the dense scans — a single allocation there
-// multiplies by the tens of thousands of evaluations per solve.
+// TestKernelsZeroAlloc: the scratch kernels run inside the optimizer
+// loops and the dense scans — a single allocation there multiplies by
+// the tens of thousands of evaluations per solve. A whole joint LM run
+// must not allocate either: the 2D multistart runs 294 of them.
 func TestKernelsZeroAlloc(t *testing.T) {
 	obs := synthObs(testAnts, testAims, geom.Vec3{X: 0.8, Y: 1.6}, 0.7, 1e-8, 2)
 	obs3 := synthObs3D(geom.Vec3{X: 1.0, Y: 1.2, Z: 0.3}, rf.TagPolarization3D(1, 0.2), 0.5e-8, 1)
@@ -123,6 +124,8 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"scanOrient/alpha", func() { sc.scanOrient(alphaGrid()) }},
 		{"scanOrient/polar", func() { sc3.setPsi(p3pos(p3)); sc3.scanOrient(polarRefineGrid()) }},
 		{"adaptiveSigmaB", func() { sc.adaptiveSigmaB(0.04) }},
+		{"lmEval", func() { sc.lmEval(&lmPoint{q: [4]float64{0.8, 1.6, 0.7, 2}}) }},
+		{"lmJoint2D", func() { lmJoint2D(sc, [4]float64{0.9, 1.5, 0.2, 1}, testBounds) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(10, c.fn); allocs != 0 {
@@ -219,9 +222,9 @@ func TestSolve3DWarmStationaryAndTeleport(t *testing.T) {
 	}
 }
 
-// TestFastPathParallelMatchesSerial: pruning and warm starts must keep
-// the serial==parallel bit-identity contract — budgets and seeds are
-// fixed before the fan-out, so Parallelism must not change the answer.
+// TestFastPathParallelMatchesSerial: warm starts must keep the
+// serial==parallel bit-identity contract — seeds are fixed before the
+// fan-out, so Parallelism must not change the answer.
 func TestFastPathParallelMatchesSerial(t *testing.T) {
 	pos := geom.Vec3{X: 1.3, Y: 1.7}
 	obs := synthObs(testAnts, testAims, pos, mathx.Rad(75), 1.1e-8, 4.0)
@@ -229,77 +232,20 @@ func TestFastPathParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{
-		{PruneStarts: true},
-		{WarmStart: &warmSeed},
-		{WarmStart: &warmSeed, PruneStarts: true},
-	} {
-		serialOpts, parOpts := opts, opts
-		serialOpts.Parallelism = 1
-		parOpts.Parallelism = 8
-		serial, err := Solve2D(obs, testBounds, serialOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Solve2D(obs, testBounds, parOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial != par {
-			t.Errorf("opts %+v: serial and parallel estimates differ:\n%+v\n%+v", opts, serial, par)
-		}
+	opts := Options{WarmStart: &warmSeed}
+	serialOpts, parOpts := opts, opts
+	serialOpts.Parallelism = 1
+	parOpts.Parallelism = 8
+	serial, err := Solve2D(obs, testBounds, serialOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSolve2DPruneStaysAccurate: pruning may only cut iteration
-// budgets of bad starts, not accuracy — noiseless windows must still
-// solve near-exactly, and the pruned-start counter must fire.
-func TestSolve2DPruneStaysAccurate(t *testing.T) {
-	var stats SolveStats
-	for _, c := range []struct {
-		pos      geom.Vec3
-		alphaDeg float64
-	}{
-		{geom.Vec3{X: 0.7, Y: 1.2}, 60},
-		{geom.Vec3{X: 1.5, Y: 2.1}, 10},
-	} {
-		obs := synthObs(testAnts, testAims, c.pos, mathx.Rad(c.alphaDeg), 0.9e-8, 1.2)
-		est, err := Solve2D(obs, testBounds, Options{NoKtPrior: true, PruneStarts: true, Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := est.Pos.Dist(c.pos); d > 0.01 {
-			t.Errorf("%+v: pruned solve position error %.3f m", c, d)
-		}
+	par, err := Solve2D(obs, testBounds, parOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 294 starts, keep ceil(0.25·294) = 74 → 220 pruned per solve.
-	if got := stats.StartsPruned.Load(); got != 2*220 {
-		t.Errorf("StartsPruned = %d, want 440", got)
-	}
-}
-
-// TestPruneBudgets pins the deterministic ranking: budgets depend only
-// on (cost, index), the keep fraction rounds up, and pruning off means
-// a nil plan.
-func TestPruneBudgets(t *testing.T) {
-	starts := [][]float64{{3}, {1}, {2}, {1}, {5}}
-	costAt := func(p []float64) float64 { return p[0] }
-	opts := Options{PruneStarts: true, PruneKeep: 0.4, PruneIters: 7}
-	opts.defaults()
-	budgets := pruneBudgets(starts, costAt, opts)
-	// keep = ceil(0.4·5) = 2: costs 1 (idx 1) and 1 (idx 3) — the tie
-	// breaks toward the lower index, but both are in the kept set.
-	want := []int{7, 0, 7, 0, 7}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("budgets = %v, want %v", budgets, want)
-		}
-	}
-	if pruneBudgets(starts, costAt, Options{}) != nil {
-		t.Fatal("pruning off must return a nil plan")
-	}
-	if budgetFor(budgets, 0, 200) != 7 || budgetFor(budgets, 1, 200) != 200 || budgetFor(nil, 3, 200) != 200 {
-		t.Fatal("budgetFor resolution wrong")
+	if serial != par {
+		t.Errorf("warm start: serial and parallel estimates differ:\n%+v\n%+v", serial, par)
 	}
 }
 

@@ -105,6 +105,31 @@ func (r *goldenRig) observe(t *testing.T, pl sim.Static) []Observation {
 	return r.cal.Apply(obs)
 }
 
+// golden2D holds the seeded 2D golden windows: a clean tag, a tag on
+// water, a tag in the region's corner on wood, and a second window of
+// the clean tag (the warm-start case). They are observed in this
+// order from one scene, so every caller sees identical windows.
+type golden2D struct {
+	clean, water, corner, cleanAgain []Observation
+	bounds                           Bounds
+}
+
+func goldenWindows2D(t *testing.T) golden2D {
+	t.Helper()
+	rig := newGoldenRig(t, 11, sim.PaperAntennas2D)
+	place := func(x, y, alphaDeg float64, material string) sim.Static {
+		return rig.place(geom.Vec3{X: x, Y: y},
+			rf.TagPolarization2D(mathx.Rad(alphaDeg)), goldenMaterial(t, material))
+	}
+	return golden2D{
+		clean:      rig.observe(t, place(0.9, 1.4, 40, "none")),
+		water:      rig.observe(t, place(1.3, 1.9, 120, "water")),
+		corner:     rig.observe(t, place(0.05, 0.55, 170, "wood")),
+		cleanAgain: rig.observe(t, place(0.9, 1.4, 40, "none")),
+		bounds:     Bounds{XMin: 0, XMax: 2, YMin: 0.5, YMax: 2.5},
+	}
+}
+
 // TestGoldenEstimateBits pins the exact output bits of the solvers on
 // seeded simulated windows. Every other bit-identity test compares two
 // runs of the same build (serial vs parallel, daemon vs cluster), so a
@@ -114,19 +139,10 @@ func (r *goldenRig) observe(t *testing.T, pl sim.Static) []Observation {
 // When a change is *meant* to move bits, re-record: the failure message
 // prints each case's new estimateBits literal.
 func TestGoldenEstimateBits(t *testing.T) {
-	bounds2D := Bounds{XMin: 0, XMax: 2, YMin: 0.5, YMax: 2.5}
 	bounds3D := Bounds{XMin: 0, XMax: 2, YMin: 0.5, YMax: 2.5, ZMin: 0, ZMax: 0.8}
-	rig2D := newGoldenRig(t, 11, sim.PaperAntennas2D)
+	w := goldenWindows2D(t)
+	clean, water, corner, cleanAgain, bounds2D := w.clean, w.water, w.corner, w.cleanAgain, w.bounds
 	rig3D := newGoldenRig(t, 12, sim.PaperAntennas3D)
-
-	place2D := func(x, y, alphaDeg float64, material string) sim.Static {
-		return rig2D.place(geom.Vec3{X: x, Y: y},
-			rf.TagPolarization2D(mathx.Rad(alphaDeg)), goldenMaterial(t, material))
-	}
-	clean := rig2D.observe(t, place2D(0.9, 1.4, 40, "none"))
-	water := rig2D.observe(t, place2D(1.3, 1.9, 120, "water"))
-	corner := rig2D.observe(t, place2D(0.05, 0.55, 170, "wood"))
-	cleanAgain := rig2D.observe(t, place2D(0.9, 1.4, 40, "none"))
 	tilted := rig3D.observe(t, rig3D.place(geom.Vec3{X: 0.8, Y: 1.3, Z: 0.35},
 		rf.TagPolarization3D(mathx.Rad(40), mathx.Rad(25)), goldenMaterial(t, "glass")))
 
@@ -151,16 +167,64 @@ func TestGoldenEstimateBits(t *testing.T) {
 		got  Estimate
 		want estimateBits
 	}{
-		{"2d-clean", warmSeed, estimateBits{X: 0x3feb818644a2aa6d, Y: 0x3ff53b520dacc382, Z: 0x0, Alpha: 0x3fd0691952f64cea, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e2e1229efe4366b, Bt0: 0x3fed144855f8c00c, Cost: 0x40246263bda152aa}},
-		{"2d-material", solve(Solve2D, water, bounds2D, Options{}), estimateBits{X: 0x3ff30339f74a2728, Y: 0x4001483cf4a24063, Z: 0x0, Alpha: 0x3fccd1ec8fc09597, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e03a3289ddd0582, Bt0: 0x40124c3d0c2f01d8, Cost: 0x402095d60085c4bc}},
-		{"2d-corner", solve(Solve2D, corner, bounds2D, Options{}), estimateBits{X: 0x3f9723392845e234, Y: 0x3fe30733210eca84, Z: 0x0, Alpha: 0x3fbb18bc30eb1460, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e3b053cf4f6320c, Bt0: 0x40160e0160e0dd7e, Cost: 0x4024f403e43893a8}},
+		{"2d-clean", warmSeed, estimateBits{X: 0x3feb81864590bb64, Y: 0x3ff53b520bffd95b, Z: 0x0, Alpha: 0x3fd06919688365a0, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e2e1229f71409b2, Bt0: 0x3fed1448ca06f180, Cost: 0x40246263bda1526d}},
+		{"2d-material", solve(Solve2D, water, bounds2D, Options{}), estimateBits{X: 0x3ff30339f582defc, Y: 0x4001483cf048f6db, Z: 0x0, Alpha: 0x3fccd1eb35ad3337, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e03a32b2c928817, Bt0: 0x40124c3d41ed93a9, Cost: 0x402095d60085c459}},
+		{"2d-corner", solve(Solve2D, corner, bounds2D, Options{}), estimateBits{X: 0x3f972339209e97b6, Y: 0x3fe307331f81eca8, Z: 0x0, Alpha: 0x3fbb18bb8b02ed3e, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e3b053cff430c35, Bt0: 0x40160e015e311146, Cost: 0x4024f403e4389367}},
 		{"3d", solve(Solve3D, tilted, bounds3D, Options{}), estimateBits{X: 0x3fe6953d1c21c39a, Y: 0x3ff591552cb987eb, Z: 0x3fd60085daa6c74d, Alpha: 0x0, Azimuth: 0x3fc0dfa99cbdbe16, Elevation: 0x3ff330be69cdfaa2, Kt: 0x3e32bc63cecbc3ca, Bt0: 0x40058d84fc0fb8d3, Cost: 0x3fc6a6c8ff778c1c}},
-		{"2d-warm", warm, estimateBits{X: 0x3feb7b31f2a625b6, Y: 0x3ff53b8c2f6bdec3, Z: 0x0, Alpha: 0x3fcf18696958a130, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e1e98ca267b3226, Bt0: 0x4017bf48257fb934, Cost: 0x402d960fda1a2c8e}},
+		{"2d-warm", warm, estimateBits{X: 0x3feb7b31f111e6be, Y: 0x3ff53b8c28d414a0, Z: 0x0, Alpha: 0x3fcf18682d040c92, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e1e98ca9e3aa402, Bt0: 0x4017bf48417af21f, Cost: 0x402d960fda1a2c4a}},
 		{"2d-no-fine-phase", solve(Solve2D, water, bounds2D, Options{DisableFinePhase: true}), estimateBits{X: 0x3ff1d306c2fc01b0, Y: 0x4001d52abd6c33a6, Z: 0x0, Alpha: 0x3faacee9f37bebd6, Azimuth: 0x0, Elevation: 0x0, Kt: 0xbe1dd49036a5fe71, Bt0: 0x4001b124c33372af, Cost: 0x3fb720106c09d419}},
 	}
 	for _, c := range cases {
 		if got := bitsOf(c.got); got != c.want {
 			t.Errorf("%s: estimate bits changed (%+v)\n got  %#v\n want %#v", c.name, c.got, got, c.want)
+		}
+	}
+}
+
+// TestSolve2DMatchesNelderMeadMinima: the joint stage used to be a
+// Nelder–Mead multistart with a long fine pass. Its estimates on the
+// golden windows, recorded below before the Levenberg–Marquardt kernel
+// replaced it, are converged minima of the same objective; the LM
+// solver must land on the same minima to well under any accuracy that
+// matters (the literals differ from the current golden bits only in
+// the last converged digits).
+func TestSolve2DMatchesNelderMeadMinima(t *testing.T) {
+	w := goldenWindows2D(t)
+	type minimum struct{ X, Y, Alpha, Bt0, Cost float64 }
+	nm := map[string]minimum{
+		"2d-clean":    {X: 0.8595610943351183, Y: 1.326982549111762, Alpha: 0.25641472913521446, Bt0: 0.9087258986601241, Cost: 10.192167211477983},
+		"2d-material": {X: 1.1882877025368064, Y: 2.160272513581775, Alpha: 0.22515637416033193, Bt0: 4.574451628083317, Cost: 8.29264833100239},
+		"2d-corner":   {X: 0.022595303614681053, Y: 0.5946288724574775, Alpha: 0.10584617800039231, Bt0: 5.513677133297618, Cost: 10.476592189699502},
+		"2d-warm":     {X: 0.8587884654272588, Y: 1.3270379879376584, Alpha: 0.24293248790605437, Bt0: 5.936798654480572, Cost: 14.793089690871309},
+	}
+	solve := func(obs []Observation, opts Options) Estimate {
+		t.Helper()
+		est, err := Solve2D(obs, w.bounds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	seed := solve(w.clean, Options{})
+	got := map[string]Estimate{
+		"2d-clean":    seed,
+		"2d-material": solve(w.water, Options{}),
+		"2d-corner":   solve(w.corner, Options{}),
+		"2d-warm":     solve(w.cleanAgain, Options{WarmStart: &seed}),
+	}
+	for name, want := range nm {
+		e := got[name]
+		if d := math.Hypot(e.Pos.X-want.X, e.Pos.Y-want.Y); d > 1e-6 {
+			t.Errorf("%s: position %.3g m from the Nelder–Mead minimum", name, d)
+		}
+		if d := math.Abs(mathx.AngDiffPeriod(e.Alpha, want.Alpha, math.Pi)); d > 1e-5 {
+			t.Errorf("%s: α %.3g rad from the Nelder–Mead minimum", name, d)
+		}
+		if d := math.Abs(mathx.AngDiff(e.Bt0, want.Bt0)); d > 1e-5 {
+			t.Errorf("%s: b_t %.3g rad from the Nelder–Mead minimum", name, d)
+		}
+		if r := math.Abs(e.Cost-want.Cost) / want.Cost; r > 1e-9 {
+			t.Errorf("%s: cost %v vs Nelder–Mead %v (relative %.3g)", name, e.Cost, want.Cost, r)
 		}
 	}
 }

@@ -69,10 +69,9 @@ func Solve3D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 			}
 		}
 	}
-	budgets := pruneBudgets(starts, sc.jointCost3D, opts)
 	cands := make([]Estimate, len(starts))
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
-		cands[i] = runJoint3D(sc, starts[i], bounds, budgetFor(budgets, i, jointIters3D), 0)
+		cands[i] = runJoint3D(sc, starts[i], bounds, jointIters3D, 0)
 	})
 	return refinePolar3D(sc, reduceMinCost(cands)), nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"rfprism/internal/geom"
@@ -18,9 +17,6 @@ type SolveStats struct {
 	// WarmFallbacks counts warm attempts that failed a guard and
 	// re-ran the full cold path.
 	WarmFallbacks atomic.Int64
-	// StartsPruned counts multistart seeds demoted to the short
-	// iteration budget by adaptive pruning.
-	StartsPruned atomic.Int64
 }
 
 func (o Options) countWarmAttempt() {
@@ -32,12 +28,6 @@ func (o Options) countWarmAttempt() {
 func (o Options) countWarmFallback() {
 	if o.Stats != nil {
 		o.Stats.WarmFallbacks.Add(1)
-	}
-}
-
-func (o Options) countPruned(n int) {
-	if o.Stats != nil && n > 0 {
-		o.Stats.StartsPruned.Add(int64(n))
 	}
 }
 
@@ -88,33 +78,48 @@ func warmConsistent(sc *solveScratch, warmPos, refined geom.Vec3, radius float64
 // basin, and run a 9-start basin-local joint multistart seeded with
 // the warm orientation. Returns ok = false when either guard fails;
 // the caller then runs the cold path.
+//
+// The warm LM runs are confined to warmBox: LM follows the wrap-free
+// slope term across the whole region, so an unconfined stale seed
+// would walk to a teleported tag's new fix instead of tripping the
+// cost guard.
 func solve2DWarm(sc *solveScratch, bounds Bounds, opts Options) (Estimate, bool) {
 	warm := *opts.WarmStart
 	posW := refinePos2D(sc, warm.Pos, bounds, opts.GridStep)
 	if !warmConsistent(sc, warm.Pos, posW, opts.WarmRadius) {
 		return Estimate{}, false
 	}
-	starts := make([][]float64, 0, len(warmOffsets)*len(warmOffsets))
+	box := warmBox(warm.Pos, warmOffsets[len(warmOffsets)-1]+opts.WarmRadius, bounds)
+	starts := make([][4]float64, 0, len(warmOffsets)*len(warmOffsets))
 	for _, dx := range warmOffsets {
 		for _, dy := range warmOffsets {
 			x0 := clamp(warm.Pos.X+dx, bounds.XMin, bounds.XMax)
 			y0 := clamp(warm.Pos.Y+dy, bounds.YMin, bounds.YMax)
-			p0 := geom.Vec3{X: x0, Y: y0}
-			_, kt0 := sc.slopeCost(p0)
-			sc.setPsi(p0)
+			sc.setPsi(geom.Vec3{X: x0, Y: y0})
 			_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(warm.Alpha))
-			starts = append(starts, []float64{x0, y0, warm.Alpha, kt0, bt0})
+			starts = append(starts, [4]float64{x0, y0, warm.Alpha, bt0})
 		}
 	}
 	cands := make([]Estimate, len(starts))
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
-		cands[i] = runJoint2D(sc, starts[i], bounds, jointIters2D, warm.Cost)
+		cands[i] = lmJoint2D(sc, starts[i], box)
 	})
-	best := finish2D(sc, reduceMinCost(cands), bounds, opts)
+	best := finish2D(sc, reduceMinCost(cands), box, opts)
 	if best.Cost > warmCostCeiling(opts.WarmGuardFactor, warm.Cost, len(sc.obs)) {
 		return Estimate{}, false
 	}
 	return best, true
+}
+
+// warmBox is the square of half-width r around pos (clamped into
+// bounds, so the box is never empty), intersected with bounds.
+func warmBox(pos geom.Vec3, r float64, bounds Bounds) Bounds {
+	x := clamp(pos.X, bounds.XMin, bounds.XMax)
+	y := clamp(pos.Y, bounds.YMin, bounds.YMax)
+	return Bounds{
+		XMin: math.Max(x-r, bounds.XMin), XMax: math.Min(x+r, bounds.XMax),
+		YMin: math.Max(y-r, bounds.YMin), YMax: math.Min(y+r, bounds.YMax),
+	}
 }
 
 // solve3DWarm mirrors solve2DWarm with a 7-start axis star (center
@@ -152,58 +157,4 @@ func solve3DWarm(sc *solveScratch, bounds Bounds, opts Options) (Estimate, bool)
 		return Estimate{}, false
 	}
 	return best, true
-}
-
-// pruneBudgets assigns per-start NelderMead budgets for adaptive
-// pruning: rank the starts by their start-point joint cost and keep
-// the full budget only for the best PruneKeep fraction — the rest get
-// the short PruneIters cap. A start that must traverse a high-cost
-// entry to win is rare (the multistart exists to *begin* near every
-// basin), so the bottom tranche almost never produces the winner and
-// cutting it early is nearly free. Returns nil (all starts full) when
-// pruning is off. The budgets are fixed deterministically before the
-// parallel fan-out — ranking ties break toward the lower start index —
-// so serial and parallel runs still produce identical candidates.
-func pruneBudgets(starts [][]float64, costAt func([]float64) float64, opts Options) []int {
-	if !opts.PruneStarts || len(starts) <= 1 {
-		return nil
-	}
-	type ranked struct {
-		cost float64
-		idx  int
-	}
-	rk := make([]ranked, len(starts))
-	for i, s := range starts {
-		rk[i] = ranked{cost: costAt(s), idx: i}
-	}
-	sort.Slice(rk, func(a, b int) bool {
-		if rk[a].cost != rk[b].cost {
-			return rk[a].cost < rk[b].cost
-		}
-		return rk[a].idx < rk[b].idx
-	})
-	keep := int(math.Ceil(opts.PruneKeep * float64(len(starts))))
-	if keep < 1 {
-		keep = 1
-	}
-	if keep > len(starts) {
-		keep = len(starts)
-	}
-	budgets := make([]int, len(starts))
-	for r, e := range rk {
-		if r >= keep {
-			budgets[e.idx] = opts.PruneIters
-		}
-	}
-	opts.countPruned(len(starts) - keep)
-	return budgets
-}
-
-// budgetFor resolves one start's iteration budget against the pruning
-// plan (nil plan or a zero entry means the full budget).
-func budgetFor(budgets []int, i, full int) int {
-	if budgets != nil && budgets[i] > 0 {
-		return budgets[i]
-	}
-	return full
 }

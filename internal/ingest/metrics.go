@@ -170,9 +170,6 @@ func (m *Metrics) AttachSolverStats(stats func() rfprism.SolveStatsSnapshot) {
 	m.reg.NewCounterFunc("solver_warm_fallbacks_total",
 		"Warm-started solves that failed a guard and re-ran the cold path.",
 		func() int64 { return stats().WarmFallbacks })
-	m.reg.NewCounterFunc("solver_starts_pruned_total",
-		"Multistart seeds demoted to the short iteration budget by adaptive pruning.",
-		func() int64 { return stats().StartsPruned })
 }
 
 // WindowClosed counts one window leaving the sessionizer.

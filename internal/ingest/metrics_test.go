@@ -41,7 +41,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		return rfprism.SolveStatsSnapshot{
 			CacheHits: 9, CacheMisses: 4,
 			WarmAttempts: 6, WarmFallbacks: 2,
-			StartsPruned: 440,
 		}
 	})
 

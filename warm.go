@@ -208,9 +208,6 @@ type SolveStatsSnapshot struct {
 	// fast path and those that failed a guard and re-ran cold.
 	WarmAttempts  int64
 	WarmFallbacks int64
-	// StartsPruned counts multistart seeds demoted to the short
-	// iteration budget by adaptive pruning.
-	StartsPruned int64
 }
 
 // SolveStats returns a snapshot of the solver fast-path counters. The
@@ -222,7 +219,6 @@ func (s *System) SolveStats() SolveStatsSnapshot {
 		CacheMisses:   s.solveStats.cacheMisses.Load(),
 		WarmAttempts:  s.solveStats.core.WarmAttempts.Load(),
 		WarmFallbacks: s.solveStats.core.WarmFallbacks.Load(),
-		StartsPruned:  s.solveStats.core.StartsPruned.Load(),
 	}
 }
 
