@@ -12,11 +12,13 @@
 //     are wrap-free, so this stage has no ambiguity), and
 //  2. a joint multistart refines all unknowns (x, y, α, k_t, b_t)
 //     against both the slope equations and the *wrapped* intercept
-//     equations. In 2D each start is a Levenberg–Marquardt run on the
-//     four unknowns (x, y, α, b_t) with an analytic Jacobian; k_t,
-//     linear in the slope equations and absent from the intercepts, is
-//     profiled out in closed form at every point (lm.go). Solve3D still
-//     refines with Nelder–Mead.
+//     equations. In 2D there is one start per position offset around
+//     the coarse fix — one per wrap basin — with α seeded from the
+//     detached orientation scan at that offset, and each start is a
+//     Levenberg–Marquardt run on the four unknowns (x, y, α, b_t) with
+//     an analytic Jacobian; k_t, linear in the slope equations and
+//     absent from the intercepts, is profiled out in closed form at
+//     every point (lm.go). Solve3D still refines with Nelder–Mead.
 //
 // The intercepts carry sub-wavelength information (ψ changes by 2π
 // per λ/2 of distance), which is why the joint stage both sharpens the
@@ -388,27 +390,26 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 		return solveDetached2D(sc, posA), nil
 	}
 
-	// Stage 2: joint multistart over position offsets (to cover the
-	// λ/2 wrap basins around the coarse fix) and orientation starts.
-	// Every start is an independent LM run, so the 294 starts fan out
-	// across the worker pool; the reduction keeps the lowest-cost
-	// candidate with ties broken toward the lowest start index, which
-	// is exactly what the serial scan produced.
-	starts := make([][4]float64, 0, len(jointOffsets)*len(jointOffsets)*6)
+	// Stage 2: joint multistart over position offsets, which cover the
+	// λ/2 wrap basins around the coarse fix. The position picks the
+	// basin; at a fixed position the best orientation is what the
+	// detached orientation scan finds, so each offset gets one start
+	// with α and b_t profiled there (k_t needs no start: the joint
+	// kernel profiles it at every point). Every start is an
+	// independent LM run, so the 49 starts fan out across the worker
+	// pool; the reduction keeps the lowest-cost candidate with ties
+	// broken toward the lowest start index, which is exactly what the
+	// serial scan produced.
+	g := alphaGrid()
+	starts := make([][4]float64, 0, len(jointOffsets)*len(jointOffsets))
 	for _, dx := range jointOffsets {
 		for _, dy := range jointOffsets {
 			x0 := clamp(posA.X+dx, bounds.XMin, bounds.XMax)
 			y0 := clamp(posA.Y+dy, bounds.YMin, bounds.YMax)
-			// Profile bt0 at each start for a good basin entry; psi
-			// depends only on the position, so compute it once per
-			// offset rather than per orientation start. k_t needs no
-			// start: the joint kernel profiles it at every point.
 			sc.setPsi(geom.Vec3{X: x0, Y: y0})
-			for a := 0; a < 6; a++ {
-				alpha0 := float64(a) * math.Pi / 6
-				_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(alpha0))
-				starts = append(starts, [4]float64{x0, y0, alpha0, bt0})
-			}
+			bi, _ := sc.scanAlpha()
+			_, bt0 := orientCost(sc.obs, sc.psi, g.pol[bi])
+			starts = append(starts, [4]float64{x0, y0, g.az[bi], bt0})
 		}
 	}
 	cands := make([]Estimate, len(starts))
@@ -437,15 +438,14 @@ func finish2D(sc *solveScratch, best Estimate, box Bounds, opts Options) Estimat
 }
 
 // refineAlpha2D re-estimates the orientation with a dense grid at the
-// solved position: the joint simplex can stall in a local minimum of
-// the angle-doubled orientation response, and a 1-degree grid over
-// [0, pi) is cheap insurance — trig-free via the precomputed
-// polarization table. The result is kept only if it lowers the joint
-// cost.
+// solved position: the joint LM can stop in a local minimum of the
+// angle-doubled orientation response, and a 1-degree grid over
+// [0, pi) is cheap insurance — trig-free via the scratch's α-grid
+// table. The result is kept only if it lowers the joint cost.
 func refineAlpha2D(sc *solveScratch, est Estimate) Estimate {
 	sc.setPsi(est.Pos)
 	g := alphaGrid()
-	bi, _ := sc.scanOrient(g)
+	bi, _ := sc.scanAlpha()
 	alpha := refineAngle(func(a float64) float64 {
 		c, _ := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(a))
 		return c
@@ -504,7 +504,7 @@ func solveDetached2D(sc *solveScratch, pos geom.Vec3) Estimate {
 	costK, kt := sc.slopeCost(pos)
 	sc.setPsi(pos)
 	g := alphaGrid()
-	bi, bestCost := sc.scanOrient(g)
+	bi, bestCost := sc.scanAlpha()
 	_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(g.az[bi]))
 	return Estimate{
 		Pos:   pos,

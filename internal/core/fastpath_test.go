@@ -96,10 +96,31 @@ func TestAdaptiveSigmaBScratchMatchesMedianRule(t *testing.T) {
 	}
 }
 
+// TestScanAlphaMatchesScanOrient: the tabled α scan must return
+// exactly what the untabled scan over alphaGrid returns — same index,
+// same cost bits — at every position of a solve, with soft weights.
+func TestScanAlphaMatchesScanOrient(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	obs := synthObs(testAnts, testAims, geom.Vec3{X: 0.6, Y: 1.8}, mathx.Rad(100), 1e-8, 4)
+	for i := range obs {
+		obs[i].Weight = 0.5 + rng.Float64()
+	}
+	sc := newCostScratch(obs, 0.04, ktPrior{})
+	for i := 0; i < 50; i++ {
+		sc.setPsi(geom.Vec3{X: rng.Float64() * 2, Y: 0.5 + rng.Float64()*2})
+		gotI, gotC := sc.scanAlpha()
+		wantI, wantC := sc.scanOrient(alphaGrid())
+		if gotI != wantI || math.Float64bits(gotC) != math.Float64bits(wantC) {
+			t.Fatalf("scan %d: tabled (%d, %v) != untabled (%d, %v)", i, gotI, gotC, wantI, wantC)
+		}
+	}
+}
+
 // TestKernelsZeroAlloc: the scratch kernels run inside the optimizer
 // loops and the dense scans — a single allocation there multiplies by
-// the tens of thousands of evaluations per solve. A whole joint LM run
-// must not allocate either: the 2D multistart runs 294 of them.
+// the thousands of evaluations per solve. A whole joint LM run must
+// not allocate either: the 2D multistart runs 49 of them, each after
+// a tabled α scan.
 func TestKernelsZeroAlloc(t *testing.T) {
 	obs := synthObs(testAnts, testAims, geom.Vec3{X: 0.8, Y: 1.6}, 0.7, 1e-8, 2)
 	obs3 := synthObs3D(geom.Vec3{X: 1.0, Y: 1.2, Z: 0.3}, rf.TagPolarization3D(1, 0.2), 0.5e-8, 1)
@@ -122,6 +143,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"jointCost3D", func() { sc3.jointCost3D(p3) }},
 		{"setPsi", func() { sc.setPsi(pos) }},
 		{"scanOrient/alpha", func() { sc.scanOrient(alphaGrid()) }},
+		{"scanAlpha", func() { sc.scanAlpha() }},
 		{"scanOrient/polar", func() { sc3.setPsi(p3pos(p3)); sc3.scanOrient(polarRefineGrid()) }},
 		{"adaptiveSigmaB", func() { sc.adaptiveSigmaB(0.04) }},
 		{"lmEval", func() { sc.lmEval(&lmPoint{q: [4]float64{0.8, 1.6, 0.7, 2}}) }},
@@ -131,6 +153,26 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, c.fn); allocs != 0 {
 			t.Errorf("%s: %.1f allocs/run, want 0", c.name, allocs)
 		}
+	}
+}
+
+// solve2DAllocs is the serial cold Solve2D's allocation count: the
+// per-solve scratch (one buffer, α-grid table included), the grid
+// axes, the coarse refinement and the start and candidate slices.
+const solve2DAllocs = 30
+
+// TestSolve2DAllocs: the serial cold solve must not allocate more than
+// solve2DAllocs times; per-scan or per-start allocations would show up
+// here long before they show in a benchmark.
+func TestSolve2DAllocs(t *testing.T) {
+	obs := synthObs(testAnts, testAims, geom.Vec3{X: 1.2, Y: 1.6}, mathx.Rad(20), 1e-8, 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Solve2D(obs, testBounds, Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > solve2DAllocs {
+		t.Errorf("Solve2D: %.0f allocs/run, want at most %d", allocs, solve2DAllocs)
 	}
 }
 

@@ -10,13 +10,10 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"rfprism/internal/fit"
 	"rfprism/internal/geom"
 	"rfprism/internal/mathx"
-	"rfprism/internal/preprocess"
 	"rfprism/internal/rf"
 	"rfprism/internal/sim"
 )
@@ -34,75 +31,6 @@ func bitsOf(e Estimate) estimateBits {
 		Alpha: b(e.Alpha), Azimuth: b(e.Azimuth), Elevation: b(e.Elevation),
 		Kt: b(e.Kt), Bt0: b(e.Bt0), Cost: b(e.Cost),
 	}
-}
-
-// goldenRig is a seeded simulated deployment with its antennas
-// calibrated from a bare reference tag, as exp.NewSetup does: every
-// window it observes runs the production front end (sim → preprocess
-// → robust line fit → antenna correction), so the pinned bits also
-// cover the simulator's phase quantization and polarization geometry.
-type goldenRig struct {
-	scene *sim.Scene
-	cal   AntennaCal
-}
-
-func newGoldenRig(t *testing.T, seed int64, deploy func(*rand.Rand) []sim.Antenna) *goldenRig {
-	t.Helper()
-	scene, err := sim.NewScene(deploy(rand.New(rand.NewSource(seed))),
-		rf.LabMultipath(), sim.DefaultConfig(), seed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &goldenRig{scene: scene}
-	calPos := geom.Vec3{X: 1.0, Y: 1.5}
-	none := goldenMaterial(t, "none")
-	ref := r.observe(t, sim.Static{
-		Pos:          calPos,
-		Polarization: rf.TagPolarization2D(0),
-		Material:     none,
-		Attach:       rf.Attach(none, rf.AttachmentJitter{}, nil),
-	})
-	if r.cal, err = CalibrateAntennas(ref, calPos, 0); err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func goldenMaterial(t *testing.T, name string) rf.Material {
-	t.Helper()
-	m, err := rf.MaterialByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// place is a static tag on material m with placement jitter drawn
-// from the scene RNG.
-func (r *goldenRig) place(pos geom.Vec3, pol geom.Vec3, m rf.Material) sim.Static {
-	return sim.Static{Pos: pos, Polarization: pol, Material: m,
-		Attach: rf.Attach(m, rf.DefaultAttachmentJitter(), r.scene.Rand())}
-}
-
-// observe collects one window of a static tag and returns its
-// calibrated observations.
-func (r *goldenRig) observe(t *testing.T, pl sim.Static) []Observation {
-	t.Helper()
-	win := r.scene.CollectWindow(r.scene.NewTag("golden"), pl)
-	spectra, err := preprocess.BuildSpectra(win, preprocess.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := make([]Observation, len(spectra))
-	for i, sp := range spectra {
-		line, err := fit.FitLineRobust(sp.Freqs(), sp.Phases(), sp.RSSIs(), fit.RobustOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ant := r.scene.Antennas[i]
-		obs[i] = Observation{ID: ant.ID, Pos: ant.Pos, Frame: ant.Frame(), Line: line}
-	}
-	return r.cal.Apply(obs)
 }
 
 // golden2D holds the seeded 2D golden windows: a clean tag, a tag on
@@ -167,11 +95,11 @@ func TestGoldenEstimateBits(t *testing.T) {
 		got  Estimate
 		want estimateBits
 	}{
-		{"2d-clean", warmSeed, estimateBits{X: 0x3feb81864590bb64, Y: 0x3ff53b520bffd95b, Z: 0x0, Alpha: 0x3fd06919688365a0, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e2e1229f71409b2, Bt0: 0x3fed1448ca06f180, Cost: 0x40246263bda1526d}},
-		{"2d-material", solve(Solve2D, water, bounds2D, Options{}), estimateBits{X: 0x3ff30339f582defc, Y: 0x4001483cf048f6db, Z: 0x0, Alpha: 0x3fccd1eb35ad3337, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e03a32b2c928817, Bt0: 0x40124c3d41ed93a9, Cost: 0x402095d60085c459}},
-		{"2d-corner", solve(Solve2D, corner, bounds2D, Options{}), estimateBits{X: 0x3f972339209e97b6, Y: 0x3fe307331f81eca8, Z: 0x0, Alpha: 0x3fbb18bb8b02ed3e, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e3b053cff430c35, Bt0: 0x40160e015e311146, Cost: 0x4024f403e4389367}},
+		{"2d-clean", warmSeed, estimateBits{X: 0x3feb81864598b24a, Y: 0x3ff53b520c1877da, Z: 0x0, Alpha: 0x3fd069196af81a63, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e2e1229f594301c, Bt0: 0x3fed1448c6ecae80, Cost: 0x40246263bda1526c}},
+		{"2d-material", solve(Solve2D, water, bounds2D, Options{}), estimateBits{X: 0x3ff30339f57dac07, Y: 0x4001483cf044824a, Z: 0x0, Alpha: 0x3fccd1eb356183a0, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e03a32b2f57a917, Bt0: 0x40124c3d42338dae, Cost: 0x402095d60085c460}},
+		{"2d-corner", solve(Solve2D, corner, bounds2D, Options{}), estimateBits{X: 0x3f9723392093d7bf, Y: 0x3fe307331f829169, Z: 0x0, Alpha: 0x3fbb18bb8b3a2491, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e3b053cff40b83d, Bt0: 0x40160e015e306a52, Cost: 0x4024f403e4389376}},
 		{"3d", solve(Solve3D, tilted, bounds3D, Options{}), estimateBits{X: 0x3fe6953d1c21c39a, Y: 0x3ff591552cb987eb, Z: 0x3fd60085daa6c74d, Alpha: 0x0, Azimuth: 0x3fc0dfa99cbdbe16, Elevation: 0x3ff330be69cdfaa2, Kt: 0x3e32bc63cecbc3ca, Bt0: 0x40058d84fc0fb8d3, Cost: 0x3fc6a6c8ff778c1c}},
-		{"2d-warm", warm, estimateBits{X: 0x3feb7b31f111e6be, Y: 0x3ff53b8c28d414a0, Z: 0x0, Alpha: 0x3fcf18682d040c92, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e1e98ca9e3aa402, Bt0: 0x4017bf48417af21f, Cost: 0x402d960fda1a2c4a}},
+		{"2d-warm", warm, estimateBits{X: 0x3feb7b31f0fd7a80, Y: 0x3ff53b8c28c0945c, Z: 0x0, Alpha: 0x3fcf186828c7c9b9, Azimuth: 0x0, Elevation: 0x0, Kt: 0x3e1e98caa07e72a7, Bt0: 0x4017bf4841bb584d, Cost: 0x402d960fda1a2c57}},
 		{"2d-no-fine-phase", solve(Solve2D, water, bounds2D, Options{DisableFinePhase: true}), estimateBits{X: 0x3ff1d306c2fc01b0, Y: 0x4001d52abd6c33a6, Z: 0x0, Alpha: 0x3faacee9f37bebd6, Azimuth: 0x0, Elevation: 0x0, Kt: 0xbe1dd49036a5fe71, Bt0: 0x4001b124c33372af, Cost: 0x3fb720106c09d419}},
 	}
 	for _, c := range cases {

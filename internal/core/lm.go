@@ -212,6 +212,7 @@ func orientPhaseDerivs(fr *geom.Frame, w, dw geom.Vec3) (d1, d2 float64) {
 
 // lmJoint2D refines the joint 2D objective from q0 = (x, y, α, b_t)
 // with Levenberg–Marquardt, keeping the position inside box by
+// freezing the coordinates pinned on its faces (outwardAxes) and
 // clamping every trial point, and packages the result. Deterministic
 // and allocation-free, so the multistart can fan it out across
 // workers.
@@ -224,7 +225,14 @@ func lmJoint2D(sc *solveScratch, q0 [4]float64, box Bounds) Estimate {
 	sc.lmEval(cur)
 	lambda := 1e-3
 	for iter := 0; iter < lmMaxIter && lambda <= lmLambdaMax; iter++ {
-		step, ok := lmStep(cur, lambda)
+		// A position coordinate on a face of box is frozen when the
+		// descent direction or the step leaves the box there.
+		pinned := outwardAxes(&cur.q, -cur.jtr[0], -cur.jtr[1], box)
+		step, ok := lmStep(cur, lambda, pinned)
+		if more := outwardAxes(&cur.q, step[0], step[1], box) &^ pinned; ok && more != 0 {
+			pinned |= more
+			step, ok = lmStep(cur, lambda, pinned)
+		}
 		if !ok {
 			lambda *= 10
 			continue
@@ -255,6 +263,25 @@ func lmJoint2D(sc *solveScratch, q0 [4]float64, box Bounds) Estimate {
 	}
 }
 
+// outwardAxes returns the bit set of position coordinates (bit 0 x,
+// bit 1 y) of q that sit on a face of box with the direction (dx, dy)
+// pointing out of it. LM freezes those coordinates and solves for the
+// rest, so a start whose minimum lies beyond the box slides along the
+// face to the face's minimum. Clamping alone would cut the step to its
+// in-box part while keeping the other coordinates' share of a step
+// that assumed the pinned one moves, and the exact Hessian's curvature
+// across the face can make the full system indefinite there: LM would
+// stall short of the minimum.
+func outwardAxes(q *[4]float64, dx, dy float64, box Bounds) (out uint8) {
+	if (q[0] <= box.XMin && dx < 0) || (q[0] >= box.XMax && dx > 0) {
+		out |= 1
+	}
+	if (q[1] <= box.YMin && dy < 0) || (q[1] >= box.YMax && dy > 0) {
+		out |= 2
+	}
+	return out
+}
+
 // stepConverged reports whether the (clamped) trial moves every
 // coordinate by at most lmStepTol.
 func stepConverged(from, to *[4]float64) bool {
@@ -267,10 +294,25 @@ func stepConverged(from, to *[4]float64) bool {
 }
 
 // lmStep solves the Marquardt-damped Newton system
-// (H + λ·diag(JᵀJ))·δ = −Jᵀr by a 4×4 Cholesky factorization. ok is
-// false when the damped matrix is not positive definite; the caller
-// then raises λ.
-func lmStep(pt *lmPoint, lambda float64) (step [4]float64, ok bool) {
+// (H + λ·diag(JᵀJ))·δ = −Jᵀr by a 4×4 Cholesky factorization. The
+// coordinates in the frozen bit set get a zero step and drop out of
+// the system. ok is false when the damped matrix is not positive
+// definite; the caller then raises λ.
+func lmStep(pt *lmPoint, lambda float64, frozen uint8) (step [4]float64, ok bool) {
+	hess, jtr := &pt.hess, &pt.jtr
+	if frozen != 0 {
+		fh, fg := pt.hess, pt.jtr
+		for k := 0; k < 4; k++ {
+			if frozen&(1<<k) == 0 {
+				continue
+			}
+			for j := 0; j < 4; j++ {
+				fh[k][j], fh[j][k] = 0, 0
+			}
+			fh[k][k], fg[k] = 1, 0
+		}
+		hess, jtr = &fh, &fg
+	}
 	// l is the Cholesky factor below the diagonal; inv holds the
 	// reciprocals of its diagonal, so the factorization and both
 	// triangular solves divide only four times.
@@ -278,13 +320,13 @@ func lmStep(pt *lmPoint, lambda float64) (step [4]float64, ok bool) {
 	var inv [4]float64
 	for r := 0; r < 4; r++ {
 		for c := 0; c < r; c++ {
-			s := pt.hess[c][r] // upper triangle holds (c ≤ r)
+			s := hess[c][r] // upper triangle holds (c ≤ r)
 			for k := 0; k < c; k++ {
 				s -= l[r][k] * l[c][k]
 			}
 			l[r][c] = s * inv[c]
 		}
-		s := pt.hess[r][r] + lambda*pt.damp[r]
+		s := hess[r][r] + lambda*pt.damp[r]
 		for k := 0; k < r; k++ {
 			s -= l[r][k] * l[r][k]
 		}
@@ -295,7 +337,7 @@ func lmStep(pt *lmPoint, lambda float64) (step [4]float64, ok bool) {
 	}
 	var y [4]float64
 	for r := 0; r < 4; r++ {
-		s := -pt.jtr[r]
+		s := -jtr[r]
 		for k := 0; k < r; k++ {
 			s -= l[r][k] * y[k]
 		}

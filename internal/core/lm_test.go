@@ -161,3 +161,35 @@ func TestLMEvalCostIsJointCost(t *testing.T) {
 		}
 	}
 }
+
+// TestLMSlidesAlongPinnedFace: when the cost minimum lies outside the
+// box, LM must stop at the minimum on the box face — x frozen at the
+// bound, the free coordinates (y, α, b_t) stationary — rather than
+// stall wherever the clamp first cuts a step, so starts in the same
+// basin agree on the face minimum.
+func TestLMSlidesAlongPinnedFace(t *testing.T) {
+	obs := synthObs(testAnts, testAims, geom.Vec3{X: -0.04, Y: 1.4}, mathx.Rad(35), 1e-8, 2)
+	sc := newCostScratch(obs, 0.04, ktPrior{})
+	var first Estimate
+	for i, q0 := range [][4]float64{{0.03, 1.37, 0.5, 2}, {0.06, 1.42, 0.7, 2.2}, {0.01, 1.44, 0.6, 1.8}} {
+		est := lmJoint2D(sc, q0, testBounds)
+		if est.Pos.X != testBounds.XMin {
+			t.Fatalf("start %v: x = %v, want pinned at %v", q0, est.Pos.X, testBounds.XMin)
+		}
+		pt := lmPoint{q: [4]float64{est.Pos.X, est.Pos.Y, est.Alpha, est.Bt0}}
+		sc.lmEval(&pt)
+		if pt.jtr[0] <= 0 {
+			t.Fatalf("start %v: ∂cost/∂x = %v, want > 0 (pushing out of the box)", q0, pt.jtr[0])
+		}
+		for k := 1; k < 4; k++ {
+			if math.Abs(pt.jtr[k]) > 1e-6 {
+				t.Errorf("start %v: free gradient component %d = %.3g at the result, want stationary", q0, k, pt.jtr[k])
+			}
+		}
+		if i == 0 {
+			first = est
+		} else if d := math.Abs(est.Pos.Y - first.Pos.Y); d > 1e-8 {
+			t.Errorf("start %v: y = %.10f, first start %.10f", q0, est.Pos.Y, first.Pos.Y)
+		}
+	}
+}

@@ -12,45 +12,52 @@ import (
 // solveScratch hoists the per-observation invariants of one solve —
 // slope weights 1/σ_k², their sum, the k_t prior and the intercept
 // weight — so the objectives evaluated thousands of times inside the
-// NelderMead inner loops run allocation-free. The psi/sinPsi/cosPsi
-// buffers hold the residual intercepts of the most recent setPsi
-// position for the dense orientation scans.
+// optimizer loops run allocation-free. The psi/sinPsi/cosPsi buffers
+// hold the residual intercepts of the most recent setPsi position for
+// the dense orientation scans; alphaTab holds the α-grid orientation
+// terms those scans reuse at every position.
 //
 // Concurrency: the precomputed fields (obs, wk, sw, prior, sigB2) are
 // read-only after construction, so slopeCost/jointCost2D/jointCost3D
-// are safe to call from parallel workers. setPsi and everything that
-// reads psi/sinPsi/cosPsi/resids mutate shared buffers and must only
-// run in the serial sections of a solve (start construction and the
-// post-reduction refinements).
+// and the LM kernel are safe to call from parallel workers. setPsi and
+// everything that reads psi/sinPsi/cosPsi/resids/alphaTab mutate
+// shared buffers and must only run in the serial sections of a solve
+// (start construction and the post-reduction refinements).
 type solveScratch struct {
 	obs    []Observation
 	prior  ktPrior
 	sigmaB float64
 	sigB2  float64 // sigmaB², hoisted out of the intercept residual term
 	wk     []float64
-	sw     float64 // Σ wk, accumulated in observation order
+	sw     float64   // Σ wk, accumulated in observation order
 	wb     []float64 // per-antenna soft weight (Observation.Weight, 1 default)
 	swb    float64   // Σ wb
 	psi    []float64
 	sinPsi []float64
 	cosPsi []float64
 	resids []float64 // adaptiveSigmaB scratch
+	// alphaTab[2(g·n+i)] and [2(g·n+i)+1] are orientTerm(frame_i, w_g)
+	// for alphaGrid entry g. The first scanAlpha fills it, so scratches
+	// that never scan α (3D solves, cost checks) skip the work.
+	alphaTab    []float64
+	alphaTabSet bool
 }
 
 // newCostScratch builds a scratch around obs with an explicit σ_B (no
 // adaptive widening) — the form the exported cost probes use.
 func newCostScratch(obs []Observation, sigmaB float64, prior ktPrior) *solveScratch {
 	n := len(obs)
-	buf := make([]float64, 6*n)
+	buf := make([]float64, 6*n+2*alphaGridSize*n)
 	sc := &solveScratch{
-		obs:    obs,
-		prior:  prior,
-		wk:     buf[0:n:n],
-		psi:    buf[n : 2*n : 2*n],
-		sinPsi: buf[2*n : 3*n : 3*n],
-		cosPsi: buf[3*n : 4*n : 4*n],
-		resids: buf[4*n : 5*n : 5*n],
-		wb:     buf[5*n : 6*n : 6*n],
+		obs:      obs,
+		prior:    prior,
+		wk:       buf[0:n:n],
+		psi:      buf[n : 2*n : 2*n],
+		sinPsi:   buf[2*n : 3*n : 3*n],
+		cosPsi:   buf[3*n : 4*n : 4*n],
+		resids:   buf[4*n : 5*n : 5*n],
+		wb:       buf[5*n : 6*n : 6*n],
+		alphaTab: buf[6*n:],
 	}
 	for i := range obs {
 		o := &obs[i]
@@ -211,6 +218,40 @@ func (sc *solveScratch) scanOrient(g *angleGrid) (best int, bestCost float64) {
 	return best, bestCost
 }
 
+// scanAlpha is scanOrient(alphaGrid()) with the orientTerm values read
+// from alphaTab instead of recomputed: the same products in the same
+// order, so the same result bits, at a fraction of the work. The 2D
+// solve scans the α grid once per multistart offset, and the frames
+// do not change between scans. The 3D polar grids keep scanOrient:
+// their table would be ≈1 MB per solve.
+func (sc *solveScratch) scanAlpha() (best int, bestCost float64) {
+	nObs := len(sc.obs)
+	if !sc.alphaTabSet {
+		for gi, w := range alphaGrid().pol {
+			row := sc.alphaTab[2*gi*nObs : 2*(gi+1)*nObs]
+			for i := range sc.obs {
+				row[2*i], row[2*i+1] = orientTerm(&sc.obs[i].Frame, w)
+			}
+		}
+		sc.alphaTabSet = true
+	}
+	n := sc.swb
+	bestCost = math.Inf(1)
+	for gi := 0; gi < alphaGridSize; gi++ {
+		row := sc.alphaTab[2*gi*nObs : 2*(gi+1)*nObs]
+		var s, c float64
+		for i := range sc.obs {
+			ct, st := row[2*i], row[2*i+1]
+			s += sc.wb[i] * (sc.sinPsi[i]*ct - sc.cosPsi[i]*st)
+			c += sc.wb[i] * (sc.cosPsi[i]*ct + sc.sinPsi[i]*st)
+		}
+		if cost := 1 - math.Hypot(s/n, c/n); cost < bestCost {
+			bestCost, best = cost, gi
+		}
+	}
+	return best, bestCost
+}
+
 // angleGrid is a precomputed dense grid of candidate polarization
 // vectors with their generating angles (az carries α for the 2D
 // grids). Grids are built once, integer-stepped — the grid point k is
@@ -230,13 +271,17 @@ var (
 	polarCoarseTab  *angleGrid
 )
 
-// alphaGrid is the 1° grid over α ∈ [0, π) used by the 2D orientation
-// refinement and the detached 2D ablation.
+// alphaGridSize is the number of alphaGrid entries.
+const alphaGridSize = 180
+
+// alphaGrid is the 1° grid over α ∈ [0, π) used by the 2D multistart's
+// orientation seeds, the 2D orientation refinement and the detached 2D
+// ablation.
 func alphaGrid() *angleGrid {
 	alphaGridOnce.Do(func() {
 		g := &angleGrid{}
 		step := mathx.Rad(1)
-		for i := 0; i < 180; i++ {
+		for i := 0; i < alphaGridSize; i++ {
 			a := float64(i) * step
 			g.az = append(g.az, a)
 			g.el = append(g.el, 0)

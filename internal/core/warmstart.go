@@ -33,7 +33,7 @@ func (o Options) countWarmFallback() {
 
 // warmOffsets covers the warm wrap basin and its immediate neighbors:
 // ±8 cm (≈λ/4) around the previous position — 9 starts in 2D instead
-// of the cold path's 294.
+// of the cold path's 49, and no coarse grid.
 var warmOffsets = []float64{-0.08, 0, 0.08}
 
 const (
