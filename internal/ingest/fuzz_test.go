@@ -11,11 +11,12 @@ import (
 )
 
 // FuzzIngestNDJSON hammers the shared NDJSON report parser through the
-// full HTTP ingest path. decodeReading is the single parser behind
-// both POST /ingest and journal replay, so any input this fuzzer
-// survives is also safe to re-read from a journal segment after a
-// crash. The invariants: no panic, a well-formed HTTP status, and no
-// non-finite values admitted past validation.
+// full HTTP ingest path. sim.ParseReading (behind decodeReading) is
+// the single parser for POST /ingest, journal replay and the router,
+// so any input this fuzzer survives is also safe to re-read from a
+// journal segment after a crash; sim.FuzzReadingCodec holds the parser
+// to encoding/json itself. The invariants: no panic, a well-formed
+// HTTP status, and no non-finite values admitted past validation.
 func FuzzIngestNDJSON(f *testing.F) {
 	f.Add([]byte(`{"epc":"A","antenna":1,"channel":0,"freqHz":920e6,"phase":0.5,"rssi":-50}`))
 	f.Add([]byte(`{"epc":"A","antenna":1,"channel":0}` + "\n" + `{"epc":"A","antenna":1,"channel":0}`)) // duplicates

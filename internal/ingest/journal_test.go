@@ -1,11 +1,20 @@
 package ingest
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"rfprism/internal/rf"
 	"rfprism/internal/sim"
 )
 
@@ -389,5 +398,92 @@ func TestJournalQuarantine(t *testing.T) {
 	}
 	if rep, err := os.ReadFile(base + ".panic.txt"); err != nil || len(rep) == 0 {
 		t.Fatalf("panic report: %v", err)
+	}
+}
+
+// TestJournalSegmentBytes: a segment holds exactly json.Marshal of
+// each appended report plus '\n' (the format journals have always
+// had, so older segments replay unchanged), replay returns the
+// appended readings, and the segment re-fed through POST /ingest as is
+// journals the same bytes again.
+func TestJournalSegmentBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var in []sim.Reading
+	for i := 0; i < 300; i++ {
+		in = append(in, sim.Reading{
+			EPC:     fmt.Sprintf("E200-%03d", rng.Intn(7)),
+			Antenna: rng.Intn(4), Channel: rng.Intn(rf.NumChannels),
+			FreqHz: 902.75e6 + 0.5e6*float64(rng.Intn(rf.NumChannels)),
+			Phase:  math.Round(rng.Float64()*2*math.Pi*2048) / 2048,
+			RSSI:   math.Round(-80+rng.Float64()*40) / 2,
+			T:      time.Duration(rng.Int63n(int64(10 * time.Second))),
+		})
+	}
+	in = append(in,
+		sim.Reading{EPC: `tag<"&\>é`, Channel: 3, FreqHz: 920e6, Phase: 5e-324, RSSI: -60},  // escaped EPC, subnormal
+		sim.Reading{EPC: "big", Channel: 4, FreqHz: 1e21, Phase: 1e-7, RSSI: -2.5e22, T: 1}, // 'e' format
+	)
+	dir := t.TempDir()
+	j := testJournal(t, JournalConfig{Dir: dir})
+	var want []byte
+	for _, rd := range in {
+		if _, _, err := j.Append(rd); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, b...), '\n')
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "journal-0000000000000000.ndjson")
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment differs from json.Marshal lines:\n got %.300q\nwant %.300q", got, want)
+	}
+
+	i := 0
+	st, err := testJournal(t, JournalConfig{Dir: dir}).Replay(func(seq uint64, rd sim.Reading) error {
+		if seq != uint64(i) || rd != in[i] {
+			t.Errorf("replay seq %d: %+v, want seq %d %+v", seq, rd, i, in[i])
+		}
+		i++
+		return nil
+	})
+	if err != nil || st.Reports != len(in) || st.Corrupt != 0 {
+		t.Fatalf("replay: %+v, %v; want %d reports", st, err, len(in))
+	}
+
+	// Re-feed the segment verbatim into a journaling daemon.
+	dir2 := t.TempDir()
+	d := NewDaemon(echoProc{}, Config{
+		Sessionizer: SessionizerConfig{CoverageClose: 1 << 20, MinAntennas: 1, Dwell: time.Hour},
+		Journal:     testJournal(t, JournalConfig{Dir: dir2}),
+	})
+	srv := httptest.NewServer(NewServer(d, nil).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("re-feed: status %d", resp.StatusCode)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(dir2, "journal-0000000000000000.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("re-fed segment differs:\n got %.300q\nwant %.300q", again, want)
 	}
 }

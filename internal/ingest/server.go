@@ -17,9 +17,11 @@ import (
 	"rfprism/internal/api"
 )
 
-// maxReportLine bounds one NDJSON report line (a sim.Reading encodes
-// to well under 1 KiB; the margin tolerates vendor extensions).
-const maxReportLine = 1 << 20
+// MaxReportLine bounds one NDJSON report line (a sim.Reading encodes
+// to well under 1 KiB; the margin tolerates vendor extensions). The
+// router and the report-file reader apply the same limit, so a line
+// one tier accepts is never too large for the next.
+const MaxReportLine = 1 << 20
 
 // Server exposes the daemon over HTTP. The API is versioned under /v1:
 //
@@ -133,7 +135,7 @@ const (
 	CodeNotFound       = "not_found"        // unknown endpoint or tag
 	CodeNoRing         = "no_query_ring"    // daemon runs without a query ring
 	CodeBadParam       = "bad_param"        // malformed query parameter
-	CodeReportTooLarge = "report_too_large" // one NDJSON line exceeds maxReportLine (413)
+	CodeReportTooLarge = "report_too_large" // one NDJSON line exceeds MaxReportLine (413)
 )
 
 // apiError is the uniform JSON error envelope (the canonical wire
@@ -156,7 +158,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string,
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxReportLine)
 	accepted, line := 0, 0
 	fail := func(status int, code string, retryAfter time.Duration, msg string) {
 		s.log.Debug("ingest refused", "path", r.URL.Path, "code", code,
@@ -244,7 +246,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// itself), matching the router's envelope.
 			line++
 			fail(http.StatusRequestEntityTooLarge, CodeReportTooLarge, 0,
-				fmt.Sprintf("line %d exceeds the %d-byte report line limit", line, maxReportLine))
+				fmt.Sprintf("line %d exceeds the %d-byte report line limit", line, MaxReportLine))
 			return
 		}
 		fail(http.StatusBadRequest, CodeBadReport, 0, err.Error())

@@ -135,7 +135,7 @@ func RunLoad(ctx context.Context, h http.Handler, cfg LoadConfig, next func() (s
 		if !ok {
 			break
 		}
-		b, err := json.Marshal(rd)
+		b, err := sim.AppendReading(nil, rd)
 		if err != nil {
 			return rep, fmt.Errorf("router: marshal reading: %w", err)
 		}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rfprism/internal/ingest"
 )
 
 // fakeClock is a settable clock for breaker tests.
@@ -340,7 +342,7 @@ func TestRouterHedgedRead(t *testing.T) {
 // TestRouterIngestTooLargeLine pins the router's own typed 413.
 func TestRouterIngestTooLargeLine(t *testing.T) {
 	rt, _ := testRouter(t, Config{}, 1)
-	huge := mkLine(t, "A", 1) + strings.Repeat(" ", maxReportLine)
+	huge := mkLine(t, "A", 1) + strings.Repeat(" ", ingest.MaxReportLine)
 	w := postNDJSON(t, rt.Handler(), huge+"\n")
 	env := decodeEnvelope(t, w)
 	if w.Code != http.StatusRequestEntityTooLarge || env.Code != "report_too_large" {

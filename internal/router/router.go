@@ -26,10 +26,6 @@ import (
 	"rfprism/internal/sim"
 )
 
-// maxReportLine bounds one NDJSON report line, mirroring the shard
-// daemon's own limit.
-const maxReportLine = 1 << 20
-
 // Config tunes the router. The zero value gets serving defaults.
 type Config struct {
 	// Vnodes is the per-shard virtual-node count (DefaultVnodes).
@@ -333,12 +329,13 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := rt.cfg.Now()
 	owner, _ := rt.snapshot()
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc.Buffer(make([]byte, 0, 64*1024), ingest.MaxReportLine)
 
 	committed := 0 // lines in fully-accepted flushed chunks
 	global := 0    // current line number
 	batches := make(map[string]*shardBatch)
 	chunkLines := make([]pendingLine, 0, rt.cfg.ChunkLines)
+	var arena []byte // the chunk's line bytes; pendingLine.raw slices it
 
 	fail := func(status int, code, msg, shardID string, retry time.Duration) {
 		retry = clampRetryAfter(retry)
@@ -430,6 +427,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if allOK {
 			committed += len(chunkLines)
 			chunkLines = chunkLines[:0]
+			arena = arena[:0] // every sub-batch has returned; no line is referenced
 			for id := range batches {
 				delete(batches, id)
 			}
@@ -479,8 +477,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		global++
-		var rd sim.Reading
-		if err := json.Unmarshal(raw, &rd); err != nil {
+		rd, err := sim.ParseReading(raw)
+		if err != nil {
 			if ok, status, code, msg, shardID, retry := flush(r.Context()); !ok {
 				fail(status, code, msg, shardID, retry)
 				return
@@ -522,8 +520,12 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 			pos = p
 		}
-		// The raw bytes are only valid until the next Scan: copy.
-		pl := pendingLine{raw: append([]byte(nil), raw...), global: global, pos: pos}
+		// The raw bytes are only valid until the next Scan: copy them
+		// into the chunk arena. A grown arena leaves earlier lines in
+		// the old array, which they keep alive until the flush.
+		start := len(arena)
+		arena = append(arena, raw...)
+		pl := pendingLine{raw: arena[start:len(arena):len(arena)], global: global, pos: pos}
 		b.lines = append(b.lines, pl)
 		chunkLines = append(chunkLines, pl)
 		if len(chunkLines) >= rt.cfg.ChunkLines {
@@ -536,7 +538,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
 			fail(http.StatusRequestEntityTooLarge, ingest.CodeReportTooLarge,
-				fmt.Sprintf("line %d exceeds the %d-byte report line limit", global+1, maxReportLine), "", 0)
+				fmt.Sprintf("line %d exceeds the %d-byte report line limit", global+1, ingest.MaxReportLine), "", 0)
 			return
 		}
 		fail(http.StatusBadRequest, ingest.CodeBadReport, err.Error(), "", 0)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rfprism/internal/api"
+	"rfprism/internal/ingest"
 	"rfprism/internal/serve"
 )
 
@@ -268,7 +269,7 @@ func (rt *Router) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		go func(c shardStream) {
 			defer readers.Done()
 			sc := bufio.NewScanner(c.resp.Body)
-			sc.Buffer(make([]byte, 0, 16*1024), maxReportLine)
+			sc.Buffer(make([]byte, 0, 16*1024), ingest.MaxReportLine)
 			sc.Split(scanSSEFrame)
 			for sc.Scan() {
 				frame := append([]byte(nil), sc.Bytes()...)
